@@ -33,6 +33,12 @@ becomes lazy (per-transfer ``settled_s``) and completions are tracked
 in a deadline heap instead of a rescan, so an event on an idle corner
 of a 10k-device swarm costs the size of its component, not the swarm.
 
+Every mode solves with the same scalar progressive fill
+(:meth:`TransferEngine._fill`), whose working state lives on the
+links themselves (``Link.fill_cap`` / ``Link.fill_n``, zero at rest)
+rather than in per-solve dicts; :meth:`TransferEngine.reference_rates`
+runs that fill over the whole active set without assigning rates.
+
 ``sharded=True`` layers region sharding on top of the incremental
 mode: every link carries the region that owns it (the ``shard`` field
 of :class:`~repro.model.network.LinkSpec`, :data:`~repro.model.network.TRUNK`
@@ -57,7 +63,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from time import perf_counter_ns
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.network import TRUNK
@@ -65,21 +70,10 @@ from ..model.units import BYTES_PER_MB, bytes_to_mb, MBIT_PER_MB, transfer_time_
 from .engine import Simulator
 from .events import Event
 
-try:  # optional: vectorised bottleneck search for large fills
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 #: Residual payload (in MB) below which a transfer counts as finished.
 #: Far above float noise accumulated by settling (≈1e-13 MB), far below
 #: one byte (1e-6 MB), so no real payload is ever silently dropped.
 _EPS_MB = 1e-9
-
-#: Fills over at least this many links use the numpy bottleneck search
-#: (when numpy is importable).  Below it, array setup costs more than
-#: the scalar scan saves.  The dispatch is observable only in wall
-#: time: the vector search is bit-identical to the scalar one.
-_VECTOR_MIN_LINKS = 48
 
 
 class TransferModel(enum.Enum):
@@ -123,7 +117,13 @@ class Link:
     """One shared channel: a capacity and the transfers crossing it."""
 
     __slots__ = (
-        "name", "capacity_mbps", "shard", "transfers", "peak_utilisation_mbps"
+        "name",
+        "capacity_mbps",
+        "shard",
+        "transfers",
+        "peak_utilisation_mbps",
+        "fill_cap",
+        "fill_n",
     )
 
     def __init__(
@@ -142,6 +142,11 @@ class Link:
         #: Highest simultaneous allocated rate ever observed (tests use
         #: this to check fair shares never oversubscribe the link).
         self.peak_utilisation_mbps = 0.0
+        #: Progressive-filling working state: capacity not yet handed
+        #: out, and the number of still-unfrozen transfers crossing the
+        #: link.  ``fill_n`` is 0 at rest; see :meth:`TransferEngine._fill`.
+        self.fill_cap = 0.0
+        self.fill_n = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -171,6 +176,7 @@ class Transfer:
         "active",
         "settled_s",
         "shard",
+        "home",
     )
 
     def __init__(
@@ -216,6 +222,10 @@ class Transfer:
                 shard = link.shard
                 break
         self.shard = shard
+        #: The deadline-index slice holding this transfer's predicted
+        #: completions, resolved once when the transfer activates
+        #: (incremental and sharded modes only).
+        self.home: Optional["_Shard"] = None
 
     @property
     def lower_bound_s(self) -> float:
@@ -262,13 +272,15 @@ class Transfer:
 
 
 class _Shard:
-    """Per-region slice of the lazy deadline index (sharded mode).
+    """Per-region slice of the lazy deadline index.
 
-    ``heap`` holds ``(deadline, transfer id, token)`` entries for
-    transfers homed in this shard; ``front`` is the earliest
-    still-valid deadline as of the last publish, ``pub`` the publish
-    stamp that validates this shard's entry in the engine's
-    shard-front heap (older stamps are lazily discarded there).
+    The sharded mode keeps one per region; the incremental mode's
+    single global heap is one more (``"@global"``).  ``heap`` holds
+    ``(deadline, transfer id, token)`` entries for transfers homed in
+    this shard; ``front`` is the earliest still-valid deadline as of
+    the last publish, ``pub`` the publish stamp that validates this
+    shard's entry in the engine's shard-front heap (older stamps are
+    lazily discarded there).
     """
 
     __slots__ = ("name", "heap", "pub", "front")
@@ -341,10 +353,6 @@ class TransferEngine:
         self.incremental = incremental or sharded
         self.sharded = sharded
         self.self_check = self_check
-        #: Minimum involved-link count for the numpy bottleneck search;
-        #: benchmarks/tests lower it to force (or raise it to disable)
-        #: the vector path.
-        self.vector_min_links = _VECTOR_MIN_LINKS
         self._links: Dict[str, Link] = {}
         self._active: Dict[int, Transfer] = {}
         self._uploads: Dict[str, Dict[int, Transfer]] = {}
@@ -354,10 +362,11 @@ class TransferEngine:
         self._clock_s = sim.now
         self._generation = 0
         self._wake: Optional[Event] = None
-        # incremental mode: predicted completions as a lazy min-heap of
-        # (deadline, transfer id, token); _tokens holds each transfer's
-        # latest token, so stale entries are skipped when they surface.
-        self._deadline_heap: List[Tuple[float, int, int]] = []
+        # incremental mode: predicted completions as one lazy min-heap
+        # of (deadline, transfer id, token) in _global.heap; _tokens
+        # holds each transfer's latest token, so stale entries are
+        # skipped when they surface.
+        self._global = _Shard("@global")
         self._tokens: Dict[int, int] = {}
         self._token_seq = itertools.count()
         self._wake_deadline = float("inf")
@@ -546,7 +555,7 @@ class TransferEngine:
             self._release_slot(transfer)
             if transfer.active:
                 if self.incremental:
-                    self._settle_one(transfer)
+                    self._settle_one(transfer, self.sim.now)
                 seeds.extend(transfer.links)
                 self._detach(transfer)
         if any_active:
@@ -662,10 +671,10 @@ class TransferEngine:
         return worst
 
     def reference_rates(self) -> Dict[int, float]:
-        """Max-min rates from a scalar full fill over every active
-        transfer, computed without touching engine state — the oracle
-        the incremental closure fill (and the vector search) must match
-        bit-for-bit."""
+        """Max-min rates from a full fill over every active transfer,
+        computed without touching rates or peaks — what every
+        incremental closure fill must match bit-for-bit.  The fill's
+        link-resident working state is back at rest on return."""
         record: Dict[int, float] = {}
         if self._active:
             self._fill(self._active, record=record)
@@ -710,6 +719,9 @@ class TransferEngine:
         for link in transfer.links:
             link.transfers[transfer.id] = transfer
         if self.incremental:
+            transfer.home = (
+                self._shard(transfer.shard) if self.sharded else self._global
+            )
             self._recompute_incremental(transfer.links)
         else:
             self._recompute()
@@ -759,29 +771,28 @@ class TransferEngine:
     def _settle(self) -> None:
         """Account progress made at the current rates since the last
         rate change, bringing every ``remaining_mb`` up to date (full
-        mode; incremental mode settles lazily via :meth:`_settle_one`)."""
-        dt = self.sim.now - self._clock_s
-        self._clock_s = self.sim.now
+        mode; incremental mode settles lazily, per closure)."""
+        now = self.sim.now
+        dt = now - self._clock_s
+        self._clock_s = now
         if dt <= 0:
             return
         for transfer in self._active.values():
-            if transfer.rate_mbps > 0:
-                transfer.remaining_mb = max(
-                    0.0,
-                    transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt,
-                )
+            rate = transfer.rate_mbps
+            if rate > 0:
+                left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
+                transfer.remaining_mb = left if left > 0.0 else 0.0
 
-    def _settle_one(self, transfer: Transfer) -> None:
-        """Bring one transfer's ``remaining_mb`` up to the current
-        clock at its (unchanged) rate."""
-        dt = self.sim.now - transfer.settled_s
-        transfer.settled_s = self.sim.now
-        if dt <= 0 or transfer.rate_mbps <= 0:
-            return
-        transfer.remaining_mb = max(
-            0.0,
-            transfer.remaining_mb - transfer.rate_mbps / MBIT_PER_MB * dt,
-        )
+    @staticmethod
+    def _settle_one(transfer: Transfer, now: float) -> None:
+        """Bring one transfer's ``remaining_mb`` up to ``now`` at its
+        (unchanged) rate."""
+        dt = now - transfer.settled_s
+        transfer.settled_s = now
+        rate = transfer.rate_mbps
+        if dt > 0 and rate > 0:
+            left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
+            transfer.remaining_mb = left if left > 0.0 else 0.0
 
     # ------------------------------------------------------------------
     # progressive filling (shared by both recompute modes)
@@ -800,29 +811,56 @@ class TransferEngine:
         utilisation as the **sum of allocated rates** — independent of
         the loop's own capacity bookkeeping, so an over-allocation bug
         is observable.  With ``record`` the rates go into that mapping
-        instead and no engine state is touched (the scalar reference
-        oracle).
+        instead and no rate or peak is touched (:meth:`reference_rates`).
+
+        The working state lives on the links: ``fill_cap`` (capacity
+        not yet handed out) and ``fill_n`` (unfrozen transfers
+        crossing).  ``fill_n`` is 0 at rest, so the first touch loads
+        ``fill_cap``; and because every transfer on an involved link
+        is in ``transfers`` and gets frozen, every ``fill_n`` is back
+        at 0 on return.
         """
-        capacity_left: Dict[str, float] = {}
-        unfrozen_count: Dict[str, int] = {}
         involved: List[Link] = []
         for transfer in transfers.values():
             for link in transfer.links:
-                if link.name not in capacity_left:
-                    capacity_left[link.name] = link.capacity_mbps
-                    unfrozen_count[link.name] = 0
+                if link.fill_n == 0:
+                    link.fill_cap = link.capacity_mbps
                     involved.append(link)
-                unfrozen_count[link.name] += 1
-        if (
-            record is None
-            and _np is not None
-            and len(involved) >= self.vector_min_links
-        ):
-            self._fill_vector(transfers, involved, capacity_left, unfrozen_count)
-        else:
-            self._fill_scalar(
-                transfers, involved, capacity_left, unfrozen_count, record
-            )
+                link.fill_n += 1
+        frozen: set = set()
+        remaining = len(transfers)
+        while remaining > 0:
+            # Bottleneck link: the one whose equal split is smallest,
+            # ties to the smallest name.  Shares are finite, so the
+            # first unfrozen link always beats the inf sentinel.
+            best_link: Optional[Link] = None
+            best_share = float("inf")
+            best_name = ""
+            for link in involved:
+                count = link.fill_n
+                if count == 0:
+                    continue
+                share = link.fill_cap / count
+                if share < best_share or (
+                    share == best_share and link.name < best_name
+                ):
+                    best_link, best_share, best_name = link, share, link.name
+            assert best_link is not None  # remaining > 0 implies a link
+            members = best_link.transfers
+            for tid in sorted(members):
+                if tid in frozen:
+                    continue
+                transfer = members[tid]
+                if record is None:
+                    transfer.rate_mbps = best_share
+                else:
+                    record[tid] = best_share
+                frozen.add(tid)
+                remaining -= 1
+                for link in transfer.links:
+                    left = link.fill_cap - best_share
+                    link.fill_cap = left if left > 0.0 else 0.0
+                    link.fill_n -= 1
         if record is None:
             self.transfers_visited += len(transfers)
             self._record_peaks(involved)
@@ -837,100 +875,6 @@ class TransferEngine:
                         tid: t.rate_mbps for tid, t in transfers.items()
                     },
                 )
-
-    def _fill_scalar(
-        self,
-        transfers: Dict[int, Transfer],
-        involved: List[Link],
-        capacity_left: Dict[str, float],
-        unfrozen_count: Dict[str, int],
-        record: Optional[Dict[int, float]],
-    ) -> None:
-        frozen: Dict[int, bool] = {}
-        remaining = len(transfers)
-        while remaining > 0:
-            # Bottleneck link: the one whose equal split is smallest.
-            best_link: Optional[Link] = None
-            best_share = 0.0
-            for link in involved:
-                count = unfrozen_count[link.name]
-                if count == 0:
-                    continue
-                share = capacity_left[link.name] / count
-                if best_link is None or share < best_share or (
-                    share == best_share and link.name < best_link.name
-                ):
-                    best_link, best_share = link, share
-            assert best_link is not None  # remaining > 0 implies a link
-            for tid in sorted(best_link.transfers):
-                if tid in frozen:
-                    continue
-                transfer = best_link.transfers[tid]
-                if record is None:
-                    transfer.rate_mbps = best_share
-                else:
-                    record[tid] = best_share
-                frozen[tid] = True
-                remaining -= 1
-                for link in transfer.links:
-                    capacity_left[link.name] = max(
-                        0.0, capacity_left[link.name] - best_share
-                    )
-                    unfrozen_count[link.name] -= 1
-
-    def _fill_vector(
-        self,
-        transfers: Dict[int, Transfer],
-        involved: List[Link],
-        capacity_left: Dict[str, float],
-        unfrozen_count: Dict[str, int],
-    ) -> None:
-        """The scalar fill with its bottleneck *search* vectorised.
-
-        Only the per-round scan for the minimum equal split moves into
-        numpy; freezing and capacity subtraction stay scalar in the
-        identical order, and IEEE-754 division/compare are elementwise
-        identical between numpy float64 and Python floats — so the
-        rates are bit-identical to :meth:`_fill_scalar` (pinned by the
-        self-check tests, which force the oracle through the scalar
-        path).
-        """
-        names = [link.name for link in involved]
-        index = {name: i for i, name in enumerate(names)}
-        caps = _np.array([capacity_left[name] for name in names], dtype=_np.float64)
-        counts = _np.array(
-            [unfrozen_count[name] for name in names], dtype=_np.int64
-        )
-        # Tie-break rank: position in name-sorted order, so argmin over
-        # (share, rank) matches the scalar "smallest share, then
-        # lexicographically smallest name" rule.
-        rank = _np.empty(len(names), dtype=_np.int64)
-        for pos, i in enumerate(
-            sorted(range(len(names)), key=lambda j: names[j])
-        ):
-            rank[i] = pos
-        frozen: Dict[int, bool] = {}
-        remaining = len(transfers)
-        while remaining > 0:
-            shares = _np.where(
-                counts > 0, caps / _np.maximum(counts, 1), _np.inf
-            )
-            best = shares.min()
-            candidates = _np.flatnonzero(shares == best)
-            i = int(candidates[_np.argmin(rank[candidates])])
-            best_link = involved[i]
-            best_share = float(best)
-            for tid in sorted(best_link.transfers):
-                if tid in frozen:
-                    continue
-                transfer = best_link.transfers[tid]
-                transfer.rate_mbps = best_share
-                frozen[tid] = True
-                remaining -= 1
-                for link in transfer.links:
-                    j = index[link.name]
-                    caps[j] = max(0.0, float(caps[j]) - best_share)
-                    counts[j] -= 1
 
     def _record_peaks(self, involved: Iterable[Link]) -> None:
         """Update peak utilisation from the rates actually allocated."""
@@ -957,15 +901,11 @@ class TransferEngine:
         self._wake = None
         if not self._active:
             return
-        if self.profile is not None:
-            # Observation only: wall time feeds the profiler, never the
-            # simulation clock or any outcome.
-            t0 = perf_counter_ns()  # repro-lint: disable=wall-clock-in-sim
+        prof = self.profile
+        if prof is not None:
+            t0 = prof.clock()
             self._fill(self._active)
-            self.profile.note_recompute(
-                perf_counter_ns() - t0,  # repro-lint: disable=wall-clock-in-sim
-                len(self._active),
-            )
+            prof.note_recompute(prof.clock() - t0, len(self._active))
         else:
             self._fill(self._active)
         if self.self_check:
@@ -973,11 +913,11 @@ class TransferEngine:
         # Earliest completion under the new rates.
         next_dt = float("inf")
         for transfer in self._active.values():
-            if transfer.rate_mbps > 0:
-                next_dt = min(
-                    next_dt,
-                    transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps,
-                )
+            rate = transfer.rate_mbps
+            if rate > 0:
+                dt = transfer.remaining_mb * MBIT_PER_MB / rate
+                if dt < next_dt:
+                    next_dt = dt
         if next_dt == float("inf"):  # pragma: no cover - defensive
             return
         generation = self._generation
@@ -1006,14 +946,16 @@ class TransferEngine:
         changed.  The closure walk collects every transfer reachable
         from them through shared links (settling each at its old rate
         first — rates change only after progress is accounted), then
-        refills that closure.  Transfers outside the closure share no
-        link with it, directly or transitively, so their max-min rates
-        are provably unchanged — skipping them is what breaks the
-        every-event-scans-everything cost wall.
+        refills that closure and re-indexes its deadlines.  Transfers
+        outside the closure share no link with it, directly or
+        transitively, so their max-min rates are provably unchanged —
+        skipping them is what breaks the every-event-scans-everything
+        cost wall.
         """
         self.recomputes += 1
-        # Observation only: feeds the profiler, never an outcome.
-        t0 = perf_counter_ns() if self.profile is not None else 0  # repro-lint: disable=wall-clock-in-sim
+        prof = self.profile
+        t0 = prof.clock() if prof is not None else 0
+        now = self.sim.now
         seen: set = set()
         stack: List[Link] = []
         for link in seeds:
@@ -1027,7 +969,13 @@ class TransferEngine:
                 if tid in closure:
                     continue
                 closure[tid] = transfer
-                self._settle_one(transfer)
+                # _settle_one, inlined: this walk is the hottest loop.
+                dt = now - transfer.settled_s
+                transfer.settled_s = now
+                rate = transfer.rate_mbps
+                if dt > 0 and rate > 0:
+                    left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
+                    transfer.remaining_mb = left if left > 0.0 else 0.0
                 for other in transfer.links:
                     if other.name not in seen:
                         seen.add(other.name)
@@ -1037,126 +985,101 @@ class TransferEngine:
             # a transfer alone on all its links.  Its max-min rate is
             # the path bottleneck; skip the filling-loop bookkeeping.
             (transfer,) = closure.values()
-            rate = min(link.capacity_mbps for link in transfer.links)
+            rate = transfer.links[0].capacity_mbps
+            for link in transfer.links:
+                if link.capacity_mbps < rate:
+                    rate = link.capacity_mbps
             transfer.rate_mbps = rate
             self.transfers_visited += 1
             for link in transfer.links:
                 if rate > link.peak_utilisation_mbps:
                     link.peak_utilisation_mbps = rate
-            self._push_deadline(transfer)
             if self.trace is not None:
                 self.trace.record(
-                    self.sim.now, "engine.reallocate", "",
+                    now, "engine.reallocate", "",
                     closure=next(self._closure_seq), n=1,
                     rates={transfer.id: rate},
                 )
         elif closure:
             self._fill(closure)
-            for transfer in closure.values():
-                self._push_deadline(transfer)
-        if self.profile is not None:
-            # repro-lint: disable=wall-clock-in-sim
-            self.profile.note_recompute(perf_counter_ns() - t0, len(closure))
+        # Re-index every closure member's predicted completion (each
+        # was settled to ``now`` by the walk above).
+        tokens = self._tokens
+        token_seq = self._token_seq
+        touched = self._touched if self.sharded else None
+        for tid, transfer in closure.items():
+            rate = transfer.rate_mbps
+            if rate > 0:
+                token = next(token_seq)
+                tokens[tid] = token
+                home = transfer.home
+                heapq.heappush(
+                    home.heap,
+                    (now + transfer.remaining_mb * MBIT_PER_MB / rate,
+                     tid, token),
+                )
+                if touched is not None:
+                    touched.add(home.name)
+                if prof is not None:
+                    prof.heap_push(home.name)
+            else:  # pragma: no cover - a filled transfer always has a rate
+                tokens.pop(tid, None)
+        if prof is not None:
+            prof.note_recompute(prof.clock() - t0, len(closure))
         if self.self_check:
             self._assert_reference_rates()
-        if self.sharded:
-            self._arm_wake_sharded()
-        else:
-            self._arm_wake_incremental()
+        self._arm_wake()
 
-    def _push_deadline(self, transfer: Transfer) -> None:
-        """(Re)index one transfer's predicted completion time."""
-        if transfer.rate_mbps > 0:
-            deadline = (
-                transfer.settled_s
-                + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
-            )
-            token = next(self._token_seq)
-            self._tokens[transfer.id] = token
-            if self.sharded:
-                shard = self._shard(transfer.shard)
-                heapq.heappush(shard.heap, (deadline, transfer.id, token))
-                self._touched.add(shard.name)
-                if self.profile is not None:
-                    self.profile.heap_push(shard.name)
-            else:
-                heapq.heappush(
-                    self._deadline_heap, (deadline, transfer.id, token)
-                )
-                if self.profile is not None:
-                    self.profile.heap_push("@global")
-        else:  # pragma: no cover - a filled transfer always has a rate
-            self._tokens.pop(transfer.id, None)
+    def _drain(
+        self, shard: _Shard, now: float, finished: List[Transfer]
+    ) -> None:
+        """Pop one deadline heap's due entries into ``finished``.
 
-    def _arm_wake_incremental(self) -> None:
-        """Point the engine's single wake-up at the heap's earliest
-        still-valid deadline (stale tops are lazily dropped)."""
-        heap = self._deadline_heap
-        while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
-            heapq.heappop(heap)
-            if self.profile is not None:
-                self.profile.heap_invalidate("@global")
-        live = self._wake is not None and not self._wake.processed
-        if not heap:
-            if live:
-                self._generation += 1
-                self._wake.void()
-                self._wake = None
-            return
-        deadline = heap[0][0]
-        if live:
-            if deadline == self._wake_deadline:
-                return  # armed wake already fires at the right time
-            self._wake.void()
-        self._generation += 1
-        generation = self._generation
-        wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
-        wake.add_callback(
-            lambda _evt, g=generation: self._on_wake_incremental(g)
-        )
-        self._wake = wake
-        self._wake_deadline = deadline
-
-    def _on_wake_incremental(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up: the heap front changed since
-        now = self.sim.now
-        heap = self._deadline_heap
+        Stale entries are pruned as they surface.  A due transfer is
+        settled; one whose residual payload is still above the finish
+        threshold is re-predicted — unless the new deadline cannot
+        advance the clock (a sub-ulp residue of the timeout's float
+        rounding), in which case finishing now is the only way to
+        guarantee progress.  In sharded mode a shard whose published
+        front is later than ``now`` provably has no due entry (the
+        front *is* its minimum valid deadline), which is why undrained
+        shards need no scan at all.
+        """
+        heap = shard.heap
+        tokens = self._tokens
         prof = self.profile
-        finished: List[Transfer] = []
         while heap:
             deadline, tid, token = heap[0]
-            if self._tokens.get(tid) != token:
+            if tokens.get(tid) != token:
                 heapq.heappop(heap)
                 if prof is not None:
-                    prof.heap_invalidate("@global")
+                    prof.heap_invalidate(shard.name)
                 continue
             if deadline > now:
                 break
             heapq.heappop(heap)
             if prof is not None:
-                prof.heap_pop("@global")
+                prof.heap_pop(shard.name)
             transfer = self._active[tid]
-            self._settle_one(transfer)
+            self._settle_one(transfer, now)
             if transfer.remaining_mb <= _EPS_MB:
                 finished.append(transfer)
                 continue
-            # Residual payload above the finish threshold: re-predict.
-            # If the new deadline cannot advance the clock (a sub-ulp
-            # residue of the timeout's float rounding), finishing now
-            # is the only way to guarantee progress.
             deadline = (
-                transfer.settled_s
-                + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
+                now + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
             )
             if deadline <= now:
                 finished.append(transfer)
             else:
                 token = next(self._token_seq)
-                self._tokens[tid] = token
+                tokens[tid] = token
                 heapq.heappush(heap, (deadline, tid, token))
                 if prof is not None:
-                    prof.heap_push("@global")
+                    prof.heap_push(shard.name)
+
+    def _finish_due(self, finished: List[Transfer]) -> None:
+        """Finish the drained transfers (in id order) and re-solve
+        their closures, or just re-arm when nothing was due."""
         if finished:
             seeds: List[Link] = []
             for transfer in sorted(finished, key=lambda t: t.id):
@@ -1164,7 +1087,58 @@ class TransferEngine:
                 self._finish(transfer)
             self._recompute_incremental(seeds)
         else:
-            self._arm_wake_incremental()
+            self._arm_wake()
+
+    def _front(self, shard: _Shard) -> Optional[float]:
+        """Prune ``shard``'s stale heap tops; return its earliest valid
+        deadline (None when the heap is empty)."""
+        heap = shard.heap
+        prof = self.profile
+        while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
+            heapq.heappop(heap)
+            if prof is not None:
+                prof.heap_invalidate(shard.name)
+        return heap[0][0] if heap else None
+
+    def _arm_wake(self) -> None:
+        """Point the engine's single wake-up at the earliest still-valid
+        deadline (the global heap's, or the shard-front heap's after
+        republishing), keeping an armed wake whose time is unchanged."""
+        if self.sharded:
+            deadline = self._publish_fronts()
+        else:
+            deadline = self._front(self._global)
+        live = self._wake is not None and not self._wake.processed
+        if deadline is None:
+            if live:
+                self._generation += 1
+                self._wake.void()
+                self._wake = None
+            return
+        if live:
+            if deadline == self._wake_deadline:
+                return  # armed wake already fires at the right time
+            self._wake.void()
+        self._generation += 1
+        generation = self._generation
+        wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
+        if self.sharded:
+            wake.add_callback(
+                lambda _evt, g=generation: self._on_wake_sharded(g)
+            )
+        else:
+            wake.add_callback(
+                lambda _evt, g=generation: self._on_wake_incremental(g)
+            )
+        self._wake = wake
+        self._wake_deadline = deadline
+
+    def _on_wake_incremental(self, generation: int) -> None:
+        if generation != self._generation:
+            return  # stale wake-up: the heap front changed since
+        finished: List[Transfer] = []
+        self._drain(self._global, self.sim.now, finished)
+        self._finish_due(finished)
 
     # ------------------------------------------------------------------
     # sharded deadline index (region-sharded mode)
@@ -1181,9 +1155,9 @@ class TransferEngine:
         introspection for tests and diagnostics."""
         return {name: shard.front for name, shard in self._shards.items()}
 
-    def _arm_wake_sharded(self) -> None:
-        """Republish touched shard fronts, then point the single
-        wake-up at the shard-front heap's earliest valid entry.
+    def _publish_fronts(self) -> Optional[float]:
+        """Republish touched shard fronts; return the shard-front
+        heap's earliest valid entry (None when every shard is idle).
 
         Publishing prunes each touched shard's stale heap tops and,
         when the front moved, stamps a fresh entry into the front
@@ -1196,12 +1170,9 @@ class TransferEngine:
         if self._touched:
             for name in sorted(self._touched):
                 shard = self._shards[name]
-                heap = shard.heap
-                while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
-                    heapq.heappop(heap)
-                    if prof is not None:
-                        prof.heap_invalidate(name)
-                front = heap[0][0] if heap else float("inf")
+                front = self._front(shard)
+                if front is None:
+                    front = float("inf")
                 if front != shard.front:
                     shard.front = front
                     shard.pub += 1
@@ -1217,26 +1188,7 @@ class TransferEngine:
             heapq.heappop(fronts)
             if prof is not None:
                 prof.heap_invalidate("@front")
-        live = self._wake is not None and not self._wake.processed
-        if not fronts:
-            if live:
-                self._generation += 1
-                self._wake.void()
-                self._wake = None
-            return
-        deadline = fronts[0][0]
-        if live:
-            if deadline == self._wake_deadline:
-                return  # armed wake already fires at the right time
-            self._wake.void()
-        self._generation += 1
-        generation = self._generation
-        wake = self.sim.timeout(max(0.0, deadline - self.sim.now))
-        wake.add_callback(
-            lambda _evt, g=generation: self._on_wake_sharded(g)
-        )
-        self._wake = wake
-        self._wake_deadline = deadline
+        return fronts[0][0] if fronts else None
 
     def _on_wake_sharded(self, generation: int) -> None:
         if generation != self._generation:
@@ -1258,59 +1210,9 @@ class TransferEngine:
             heapq.heappop(fronts)
             if prof is not None:
                 prof.heap_pop("@front")
-            self._drain_shard(shard, now, finished)
+            self._drain(shard, now, finished)
             self._touched.add(name)
-        if finished:
-            seeds: List[Link] = []
-            for transfer in sorted(finished, key=lambda t: t.id):
-                seeds.extend(transfer.links)
-                self._finish(transfer)
-            self._recompute_incremental(seeds)
-        else:
-            self._arm_wake_sharded()
-
-    def _drain_shard(
-        self, shard: _Shard, now: float, finished: List[Transfer]
-    ) -> None:
-        """Pop one shard's due entries — the incremental drain loop,
-        scoped to the shard.  A shard whose published front is later
-        than ``now`` provably has no due entry (the front *is* its
-        minimum valid deadline), which is why undrained shards need no
-        scan at all."""
-        heap = shard.heap
-        prof = self.profile
-        while heap:
-            deadline, tid, token = heap[0]
-            if self._tokens.get(tid) != token:
-                heapq.heappop(heap)
-                if prof is not None:
-                    prof.heap_invalidate(shard.name)
-                continue
-            if deadline > now:
-                break
-            heapq.heappop(heap)
-            if prof is not None:
-                prof.heap_pop(shard.name)
-            transfer = self._active[tid]
-            self._settle_one(transfer)
-            if transfer.remaining_mb <= _EPS_MB:
-                finished.append(transfer)
-                continue
-            # Same force-finish rule as the incremental drain: a
-            # re-predicted deadline that cannot advance the clock
-            # finishes now, or progress stalls on float residue.
-            deadline = (
-                transfer.settled_s
-                + transfer.remaining_mb * MBIT_PER_MB / transfer.rate_mbps
-            )
-            if deadline <= now:
-                finished.append(transfer)
-            else:
-                token = next(self._token_seq)
-                self._tokens[tid] = token
-                heapq.heappush(heap, (deadline, tid, token))
-                if prof is not None:
-                    prof.heap_push(shard.name)
+        self._finish_due(finished)
 
     def _assert_reference_rates(self) -> None:
         """Compare live rates against the scalar full-fill oracle

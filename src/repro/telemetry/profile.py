@@ -17,6 +17,7 @@ byte-identity surface and the differential outcome tests exclude them.
 
 from __future__ import annotations
 
+from time import perf_counter_ns
 from typing import Any, Dict, List
 
 #: Heap label of the incremental mode's single global deadline heap.
@@ -53,6 +54,16 @@ class EngineProfile:
         self._heaps: Dict[str, List[int]] = {}
 
     # -- recompute timing ----------------------------------------------
+    @staticmethod
+    def clock() -> int:
+        """Host nanoseconds for timing a recompute.
+
+        The engine reads the host clock only through this method, so
+        every wall-clock read stays inside this allowlisted module;
+        ``note_recompute(profile.clock() - t0, n)`` closes the span.
+        """
+        return perf_counter_ns()
+
     def note_recompute(self, ns: int, closure_size: int) -> None:
         self.recomputes += 1
         self.recompute_ns_total += ns

@@ -22,11 +22,11 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_fill import reference_rates as oracle_rates
 from test_transfers import MB, run_transfer, star_network
 
 from repro import scenarios
 from repro.scenarios import SimulationSession
-from repro.sim import transfers as transfers_mod
 from repro.sim.engine import Simulator
 from repro.sim.transfers import TransferEngine
 
@@ -56,8 +56,12 @@ cancel_specs = st.lists(
 )
 
 
-def _run_trace(specs, cancels, uplink, downlink, **engine_kw):
-    """Replay one start/cancel trace; returns (engine, run records)."""
+def _run_trace(specs, cancels, uplink, downlink, setup=None, **engine_kw):
+    """Replay one start/cancel trace; returns (engine, run records).
+
+    ``setup(sim, engine)``, when given, runs before the simulation
+    starts (tests use it to hook checks into the kernel or engine).
+    """
     network = star_network(
         n_devices=5, uplink_mbps=uplink, downlink_mbps=downlink
     )
@@ -93,6 +97,8 @@ def _run_trace(specs, cancels, uplink, downlink, **engine_kw):
         sim.process(launch(at_s, src, f"d{dst_i}", size))
     for index, at_s, many in cancels:
         sim.process(axe(at_s, index, many))
+    if setup is not None:
+        setup(sim, engine)
     sim.run()
     return engine, runs
 
@@ -284,52 +290,64 @@ class TestKnownTimelines:
 
 
 # ----------------------------------------------------------------------
-# the numpy bottleneck search must be bit-identical to the scalar one
+# every mode's rates equal a frozen, independent fill oracle
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(
-    transfers_mod._np is None, reason="numpy unavailable"
-)
+#: TransferEngine keyword arguments per recompute mode.
+MODES = {
+    "full": {},
+    "incremental": {"incremental": True},
+    "sharded": {"sharded": True},
+}
+
+
+def check_after_every_event(check):
+    """A ``_run_trace`` setup hook running ``check(engine)`` after
+    every event the kernel dispatches."""
+    def setup(sim, engine):
+        queue = sim._queue
+        step = queue.step
+
+        def checked_step():
+            event = step()
+            check(engine)
+            return event
+
+        queue.step = checked_step
+
+    return setup
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     specs=trace_specs,
-    uplink=st.sampled_from([60.0, 150.0]),
-    downlink=st.sampled_from([90.0, 300.0]),
+    cancels=cancel_specs,
+    uplink=st.sampled_from([None, 60.0, 150.0]),
+    downlink=st.sampled_from([None, 90.0, 300.0]),
+    mode=st.sampled_from(sorted(MODES)),
 )
-def test_vector_fill_matches_scalar_exactly(specs, uplink, downlink):
-    """``vector_min_links=1`` forces the numpy path for every fill;
-    self_check compares each solution against the scalar reference, so
-    any ordering or rounding divergence raises immediately.  The end
-    times must then be *exactly* equal, not approximately: identical
-    rates feed identical settling arithmetic."""
-    def run(vector_min_links):
-        network = star_network(
-            n_devices=5, uplink_mbps=uplink, downlink_mbps=downlink
-        )
-        sim = Simulator()
-        engine = TransferEngine(
-            sim, network, incremental=True, self_check=True
-        )
-        engine.vector_min_links = vector_min_links
-        runs = []
+def test_engine_rates_match_frozen_oracle(
+    specs, cancels, uplink, downlink, mode
+):
+    """After every kernel event, every active transfer's rate equals
+    the rate the frozen dict-keyed fill in ``_reference_fill`` assigns
+    over the whole active set — exactly.  ``self_check`` cannot catch a
+    bug in the fill itself (``reference_rates()`` shares it); this
+    oracle does not change when the engine's fill does."""
+    checked = []
 
-        def launch(at_s, src, dst, size):
-            yield sim.timeout(at_s)
-            runs.append(run_transfer(
-                sim, engine, src, dst, size,
-                src_is_registry=(src == "origin"),
-            ))
+    def check(engine):
+        active = {t.id: t for t in engine.active_transfers}
+        rates = {tid: t.rate_mbps for tid, t in active.items()}
+        assert rates == oracle_rates(active)
+        checked.append(len(active))
 
-        for src_i, dst_i, size, at_s in specs:
-            src = "origin" if src_i == dst_i else f"d{src_i}"
-            sim.process(launch(at_s, src, f"d{dst_i}", size))
-        sim.run()
-        return engine, runs
-
-    vector_engine, vector_runs = run(vector_min_links=1)
-    scalar_engine, scalar_runs = run(vector_min_links=10**9)
-    assert vector_engine.completed == scalar_engine.completed == len(specs)
-    for v, s in zip(vector_runs, scalar_runs):
-        assert v["end"] == s["end"]
+    engine, runs = _run_trace(
+        specs, cancels, uplink, downlink,
+        setup=check_after_every_event(check), **MODES[mode],
+    )
+    assert engine.completed + engine.cancellations == len(specs)
+    assert not engine.active_transfers
+    assert len(checked) >= len(specs)
 
 
 # ----------------------------------------------------------------------
