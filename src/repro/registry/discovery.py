@@ -30,16 +30,18 @@ Gossip records are ``(incarnation, seq, present)`` triples per
 counter (every cache add/evict/remove bumps it), ``incarnation`` bumps
 each time the holder re-joins the swarm — so a device re-joining with
 a stale cache cannot be shadowed by tombstones from its previous life.
-Merges keep the strictly newer record; on a version tie the *absent*
-record wins, which makes local stale-miss suppression sticky (a viewer
-that observed a holder to be stale never un-observes it from
-equally-old gossip).
+Every record carries one rank key, ``(incarnation, seq, not present)``,
+and a merge keeps the incoming record exactly when its rank is strictly
+greater than the held one's.  That is "strictly newer version wins; on
+a version tie *absent* wins" in a single comparison, and it makes local
+stale-miss suppression sticky (a viewer that observed a holder to be
+stale never un-observes it from equally-old gossip).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -57,19 +59,27 @@ class ViewRecord:
     incarnation: int
     seq: int
     present: bool
+    #: Merge rank ``(incarnation, seq, not present)``: a record replaces
+    #: another exactly when its rank is strictly greater.
+    rank: Tuple[int, int, bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "rank", (self.incarnation, self.seq, not self.present)
+        )
 
     @property
     def version(self) -> Tuple[int, int]:
         return (self.incarnation, self.seq)
 
 
+#: One digest's share of a gossip payload: ``(digest, {holder: record})``.
+PayloadGroup = Tuple[str, Dict[str, ViewRecord]]
+
+
 def _newer(incoming: ViewRecord, current: Optional[ViewRecord]) -> bool:
     """Merge rule: strictly newer version wins; ties keep *absent*."""
-    if current is None:
-        return True
-    if incoming.version != current.version:
-        return incoming.version > current.version
-    return current.present and not incoming.present
+    return current is None or incoming.rank > current.rank
 
 
 class DiscoveryBackend:
@@ -418,9 +428,7 @@ class GossipDiscovery(DiscoveryBackend):
         for receiver, sender in deliveries:
             self._deliver(receiver, payloads[sender])
 
-    def _deliver(
-        self, receiver: str, payload: List[Tuple[str, str, ViewRecord]]
-    ) -> None:
+    def _deliver(self, receiver: str, payload: List[PayloadGroup]) -> None:
         """Apply one directed payload, metering wire records.
 
         Under ``digest-summary`` only the records strictly newer than
@@ -428,19 +436,16 @@ class GossipDiscovery(DiscoveryBackend):
         handshake filters the rest) — the merge result is identical to
         a full push-pull because :meth:`_merge` discards non-newer
         records anyway; only the metered ``records_sent`` differs.
+        Those are exactly the records the merge stores, so the merge's
+        own count is the summary's wire count.
         """
-        view = self._views.get(receiver)
-        if view is None:
+        if receiver not in self._views:
             return  # receiver departed before delivery
+        stored = self._merge(receiver, payload)
         if self.exchange == "digest-summary":
-            payload = [
-                (holder, digest, record)
-                for holder, digest, record in payload
-                if holder != receiver
-                and _newer(record, view.get(digest, {}).get(holder))
-            ]
-        self.records_sent += len(payload)
-        self._merge(receiver, payload)
+            self.records_sent += stored
+        else:
+            self.records_sent += sum(len(group) for _, group in payload)
 
     def _exchange(self, a: str, b: str) -> None:
         """One immediate push-pull between ``a`` and ``b`` (tests)."""
@@ -450,38 +455,79 @@ class GossipDiscovery(DiscoveryBackend):
         self._deliver(b, payload_a)
         self._deliver(a, payload_b)
 
-    def _payload(self, name: str) -> List[Tuple[str, str, ViewRecord]]:
-        """Everything ``name`` knows: first-hand state + its view."""
-        out: List[Tuple[str, str, ViewRecord]] = []
+    def _payload(self, name: str) -> List[PayloadGroup]:
+        """Everything ``name`` knows, one group per digest.
+
+        Each group maps holder → record and is a copy taken now, so a
+        round's payloads stay snapshots while its deliveries change the
+        live views.  ``name``'s own first-hand record for a digest is
+        folded into that digest's group (a view never holds a record
+        about its own viewer, so nothing is overwritten).
+        """
+        groups = {
+            digest: dict(records)
+            for digest, records in self._views.get(name, {}).items()
+        }
         firsthand = self._firsthand.get(name)
         if firsthand is not None:
             for digest, record in firsthand.items():
-                out.append((name, digest, record))
-        for digest, records in self._views.get(name, {}).items():
-            for holder, record in records.items():
-                out.append((holder, digest, record))
-        return out
+                group = groups.get(digest)
+                if group is None:
+                    groups[digest] = {name: record}
+                else:
+                    group[name] = record
+        return list(groups.items())
 
-    def _merge(
-        self, viewer: str, payload: List[Tuple[str, str, ViewRecord]]
-    ) -> None:
+    def _merge(self, viewer: str, payload: List[PayloadGroup]) -> int:
+        """Merge ``payload`` into ``viewer``'s view; return how many
+        records it stored.
+
+        The cost follows what changed, not the size of the views: a
+        group whose records the viewer already holds (the same objects
+        — records are immutable and shared between views — or equal
+        ones, which are never newer) is skipped whole, a held record is
+        skipped by identity, and a digest's dict is created only when a
+        record is stored in it.  The cap runs per digest, right after
+        its group, and only when the digest exceeds ``view_cap``; digests
+        are independent, so that equals capping after the whole payload.
+        """
         view = self._views.get(viewer)
         if view is None:
-            return  # viewer departed mid-round
-        touched: Set[str] = set()
-        for holder, digest, record in payload:
-            if holder == viewer:
-                continue  # self-knowledge is first-hand only
-            records = view.setdefault(digest, {})
-            if _newer(record, records.get(holder)):
-                records[holder] = record
-                touched.add(digest)
-        for digest in sorted(touched):
-            self._enforce_cap(view[digest])
+            return 0  # viewer departed mid-round
+        cap = self.view_cap
+        stored = 0
+        for digest, incoming in payload:
+            records = view.get(digest)
+            if records is None:
+                records = dict(incoming)
+                records.pop(viewer, None)  # self-knowledge is first-hand only
+                if not records:
+                    continue
+                view[digest] = records
+                stored += len(records)
+            elif incoming.items() <= records.items():
+                continue
+            else:
+                before = stored
+                for holder, record in incoming.items():
+                    current = records.get(holder)
+                    if current is record or holder == viewer:
+                        continue
+                    if current is None or record.rank > current.rank:
+                        records[holder] = record
+                        stored += 1
+                if stored == before:
+                    continue
+            if len(records) > cap:
+                self._enforce_cap(records)
+        return stored
 
     def _enforce_cap(self, records: Dict[str, ViewRecord]) -> None:
         """Keep at most ``view_cap`` present and ``view_cap`` absent
         entries per digest (freshest win).
+
+        Ranking by ``(incarnation, seq, holder)`` gives the same total
+        order as ``(version, holder)``: holders are unique.
 
         Capping tombstones too keeps view memory bounded at
         ``2·view_cap`` records per digest under sustained churn; an
@@ -489,17 +535,18 @@ class GossipDiscovery(DiscoveryBackend):
         resurface, which the verification path then meters and
         re-suppresses (self-healing).
         """
-        for wanted in (True, False):
-            matching = [
-                (h, r) for h, r in records.items() if r.present is wanted
-            ]
-            if len(matching) <= self.view_cap:
-                continue
-            matching.sort(
-                key=lambda item: (item[1].version, item[0]), reverse=True
+        present: List[Tuple[int, int, str]] = []
+        absent: List[Tuple[int, int, str]] = []
+        for holder, record in records.items():
+            (present if record.present else absent).append(
+                (record.incarnation, record.seq, holder)
             )
-            for holder, _record in matching[self.view_cap:]:
-                del records[holder]
+        cap = self.view_cap
+        for ranked in (present, absent):
+            if len(ranked) > cap:
+                ranked.sort(reverse=True)
+                for _inc, _seq, holder in ranked[cap:]:
+                    del records[holder]
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -76,11 +76,15 @@ def test_gossip_merge_cap_is_payload_order_independent():
         return g._views["viewer"]
 
     payload = [
-        (f"holder-{i}", f"sha:{d}", ViewRecord(1, i, True))
+        (f"sha:{d}", {f"holder-{i}": ViewRecord(1, i, True) for i in range(6)})
         for d in "ab"
-        for i in range(6)
     ]
-    assert run(payload) == run(list(reversed(payload)))
+    # Reverse the digest groups and the holders within each group.
+    reversed_payload = [
+        (digest, dict(reversed(list(group.items()))))
+        for digest, group in reversed(payload)
+    ]
+    assert run(payload) == run(reversed_payload)
     # The cap kept the freshest entries, not an arbitrary subset.
     view = run(payload)
     for digest in ("sha:a", "sha:b"):

@@ -25,6 +25,8 @@ from repro.registry.images import build_image
 from repro.registry.p2p import AdaptiveReplicator, P2PRegistry, PeerSwarm, SourceKind
 from repro.sim.engine import Simulator
 
+from _reference_gossip import _newer as reference_newer
+
 D = [digest_text(f"disc-layer-{i}") for i in range(6)]
 
 
@@ -291,6 +293,51 @@ class TestMergeRule:
         assert _newer(ViewRecord(1, 2, False), ViewRecord(1, 2, True))
         assert not _newer(ViewRecord(1, 2, True), ViewRecord(1, 2, False))
         assert not _newer(ViewRecord(1, 2, True), ViewRecord(1, 2, True))
+
+    def test_rank_agrees_with_three_branch_rule_on_every_pair(self):
+        records = [
+            ViewRecord(inc, seq, present)
+            for inc in range(1, 4)
+            for seq in range(7)
+            for present in (True, False)
+        ]
+        pairs = 0
+        for incoming in records:
+            assert _newer(incoming, None)
+            for current in records:
+                old_rule = reference_newer(incoming, current)
+                assert (incoming.rank > current.rank) is old_rule
+                assert _newer(incoming, current) is old_rule
+                pairs += 1
+        assert pairs == 42 * 42
+
+    def test_rank_is_not_part_of_equality_or_repr(self):
+        record = ViewRecord(2, 5, False)
+        assert record.rank == (2, 5, True)
+        assert record == ViewRecord(2, 5, False)
+        assert hash(record) == hash(ViewRecord(2, 5, False))
+        assert record.version == (2, 5)
+        assert "rank" not in repr(record)
+
+    def test_equal_records_are_never_resent(self):
+        # Two viewers suppress the same stale entry independently: their
+        # tombstones are equal but distinct objects, and neither is newer
+        # than the other, so a digest-summary delivery ships nothing.
+        # (d2 holds the digest too, so d1's group for it is never a
+        # subset of d2's view and every record is compared.)
+        disc = GossipDiscovery(seed=1, exchange="digest-summary")
+        _swarm, caches = mesh_swarm(n=3, discovery=disc)
+        caches["d0"].add(D[0], 10)
+        caches["d2"].add(D[0], 10)
+        disc._exchange("d0", "d1")
+        disc._exchange("d0", "d2")
+        disc._exchange("d1", "d2")
+        disc.record_miss("d1", "d0", D[0])
+        disc.record_miss("d2", "d0", D[0])
+        sent = disc.records_sent
+        disc._deliver("d2", disc._payload("d1"))
+        assert disc.records_sent == sent
+        assert "d0" not in disc.view("d2", D[0])
 
 
 # ----------------------------------------------------------------------

@@ -131,10 +131,10 @@ class TestMonotoneStaleness:
         holder, viewer, digest = "d1", "d0", DIGESTS[0]
         inc, seq = drop
         drop_record = ViewRecord(inc, seq, False)
-        discovery._merge(viewer, [(holder, digest, drop_record)])
+        discovery._merge(viewer, [(digest, {holder: drop_record})])
         assert holder not in discovery.view(viewer, digest)
         for record in merges:
-            discovery._merge(viewer, [(holder, digest, record)])
+            discovery._merge(viewer, [(digest, {holder: record})])
         reported = holder in discovery.view(viewer, digest)
         # The entry may only be reported if some merged record was a
         # *strictly newer* presence than the observed drop.
