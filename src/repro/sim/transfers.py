@@ -38,6 +38,12 @@ Every mode solves with the same scalar progressive fill
 links themselves (``Link.fill_cap`` / ``Link.fill_n``, zero at rest)
 rather than in per-solve dicts; :meth:`TransferEngine.reference_rates`
 runs that fill over the whole active set without assigning rates.
+Each solve touches a link once: the incremental closure walk marks a
+link by loading its fill state as it first reaches it, and hands the
+fill the list of marked links.  A closure whose
+first bottleneck carries every member — a region's trunk slice in a
+cold wave — is solved in that one scan; deeper closures freeze one
+bottleneck level at a time, with no per-level sort.
 
 ``sharded=True`` layers region sharding on top of the incremental
 mode: every link carries the region that owns it (the ``shard`` field
@@ -290,6 +296,23 @@ class _Shard:
         self.heap: List[Tuple[float, int, int]] = []
         self.pub = 0
         self.front = float("inf")
+
+
+def _bottleneck(links: List[Link]) -> Tuple[Link, float]:
+    """The bottleneck of one fill level: the link whose equal split
+    ``fill_cap / fill_n`` is smallest, ties to the smallest name.
+    Every link in ``links`` must have ``fill_n > 0``; shares are then
+    finite, so the first link always beats the inf sentinel."""
+    best_link = links[0]
+    best_share = float("inf")
+    best_name = ""
+    for link in links:
+        share = link.fill_cap / link.fill_n
+        if share < best_share or (
+            share == best_share and link.name < best_name
+        ):
+            best_link, best_share, best_name = link, share, link.name
+    return best_link, best_share
 
 
 class TransferEngine:
@@ -800,6 +823,7 @@ class TransferEngine:
     def _fill(
         self,
         transfers: Dict[int, Transfer],
+        involved: Optional[List[Link]] = None,
         record: Optional[Dict[int, float]] = None,
     ) -> None:
         """Progressive filling over ``transfers``.
@@ -815,66 +839,87 @@ class TransferEngine:
 
         The working state lives on the links: ``fill_cap`` (capacity
         not yet handed out) and ``fill_n`` (unfrozen transfers
-        crossing).  ``fill_n`` is 0 at rest, so the first touch loads
-        ``fill_cap``; and because every transfer on an involved link
-        is in ``transfers`` and gets frozen, every ``fill_n`` is back
-        at 0 on return.
+        crossing).  ``fill_n`` is 0 at rest.  ``involved`` lists the
+        links ``transfers`` cross with that state already loaded —
+        ``fill_cap`` at the capacity, ``fill_n`` at
+        ``len(link.transfers)`` (every transfer on an involved link is
+        in ``transfers``) — as the incremental closure walk leaves
+        them; without it the fill loads the same state itself, one
+        touch per link.  Every ``fill_n`` is back at 0 on return.
+
+        When the first bottleneck carries every transfer, the solve
+        has a single level: all get its share, and each link's peak is
+        that share added once per occupant, the same additions a sum
+        over its rates makes.  Otherwise levels freeze one bottleneck
+        each; within a level every frozen transfer subtracts the same
+        share from its links, so members freeze in the bottleneck's
+        own (insertion) order, and links left without an unfrozen
+        transfer drop out of the next level's scan.
         """
-        involved: List[Link] = []
-        for transfer in transfers.values():
-            for link in transfer.links:
-                if link.fill_n == 0:
-                    link.fill_cap = link.capacity_mbps
-                    involved.append(link)
-                link.fill_n += 1
-        frozen: set = set()
-        remaining = len(transfers)
-        while remaining > 0:
-            # Bottleneck link: the one whose equal split is smallest,
-            # ties to the smallest name.  Shares are finite, so the
-            # first unfrozen link always beats the inf sentinel.
-            best_link: Optional[Link] = None
-            best_share = float("inf")
-            best_name = ""
-            for link in involved:
-                count = link.fill_n
-                if count == 0:
-                    continue
-                share = link.fill_cap / count
-                if share < best_share or (
-                    share == best_share and link.name < best_name
-                ):
-                    best_link, best_share, best_name = link, share, link.name
-            assert best_link is not None  # remaining > 0 implies a link
-            members = best_link.transfers
-            for tid in sorted(members):
-                if tid in frozen:
-                    continue
-                transfer = members[tid]
-                if record is None:
-                    transfer.rate_mbps = best_share
-                else:
-                    record[tid] = best_share
-                frozen.add(tid)
-                remaining -= 1
+        if involved is None:
+            involved = []
+            for transfer in transfers.values():
                 for link in transfer.links:
-                    left = link.fill_cap - best_share
-                    link.fill_cap = left if left > 0.0 else 0.0
-                    link.fill_n -= 1
-        if record is None:
-            self.transfers_visited += len(transfers)
+                    if link.fill_n == 0:
+                        link.fill_n = len(link.transfers)
+                        link.fill_cap = link.capacity_mbps
+                        involved.append(link)
+        remaining = len(transfers)
+        best_link, best_share = _bottleneck(involved)
+        if best_link.fill_n == remaining:
+            if record is not None:
+                for tid in transfers:
+                    record[tid] = best_share
+                for link in involved:
+                    link.fill_n = 0
+                return
+            # sums[k]: the share added k times from 0.0 — a k-occupant
+            # link's utilisation, in the order a sum over rates adds.
+            sums = [0.0]
+            utilisation = 0.0
+            for transfer in transfers.values():
+                transfer.rate_mbps = best_share
+                utilisation += best_share
+                sums.append(utilisation)
+            for link in involved:
+                utilisation = sums[link.fill_n]
+                link.fill_n = 0
+                if utilisation > link.peak_utilisation_mbps:
+                    link.peak_utilisation_mbps = utilisation
+        else:
+            frozen: set = set()
+            scan = involved
+            while True:
+                for tid, transfer in best_link.transfers.items():
+                    if tid in frozen:
+                        continue
+                    if record is None:
+                        transfer.rate_mbps = best_share
+                    else:
+                        record[tid] = best_share
+                    frozen.add(tid)
+                    remaining -= 1
+                    for link in transfer.links:
+                        left = link.fill_cap - best_share
+                        link.fill_cap = left if left > 0.0 else 0.0
+                        link.fill_n -= 1
+                if remaining == 0:
+                    break
+                scan = [link for link in scan if link.fill_n]
+                best_link, best_share = _bottleneck(scan)
+            if record is not None:
+                return
             self._record_peaks(involved)
-            if self.trace is not None:
-                # Integer transfer ids as keys — json.dumps stringifies
-                # them at export; skipping str() here keeps the hot
-                # path inside the tracing overhead budget.
-                self.trace.record(
-                    self.sim.now, "engine.reallocate", "",
-                    closure=next(self._closure_seq), n=len(transfers),
-                    rates={
-                        tid: t.rate_mbps for tid, t in transfers.items()
-                    },
-                )
+        self.transfers_visited += len(transfers)
+        if self.trace is not None:
+            # Integer transfer ids as keys — json.dumps stringifies
+            # them at export; skipping str() here keeps the hot path
+            # inside the tracing overhead budget.
+            self.trace.record(
+                self.sim.now, "engine.reallocate", "",
+                closure=next(self._closure_seq), n=len(transfers),
+                rates={tid: t.rate_mbps for tid, t in transfers.items()},
+            )
 
     def _record_peaks(self, involved: Iterable[Link]) -> None:
         """Update peak utilisation from the rates actually allocated."""
@@ -951,17 +996,31 @@ class TransferEngine:
         transitively, so their max-min rates are provably unchanged —
         skipping them is what breaks the every-event-scans-everything
         cost wall.
+
+        The walk also sets up the fill: it marks each link on first
+        touch by loading ``fill_cap`` and ``fill_n =
+        len(link.transfers)`` (sound because the closure is a union of
+        whole components) and collects the marked links as the fill's
+        ``involved`` list.  A singleton closure puts that state back
+        at rest itself.
         """
         self.recomputes += 1
         prof = self.profile
         t0 = prof.clock() if prof is not None else 0
         now = self.sim.now
-        seen: set = set()
+        # Seed links without a transfer add nothing; a link whose only
+        # occupant brought the walk there is marked but never pushed,
+        # since walking it adds nothing either.
+        involved: List[Link] = []
         stack: List[Link] = []
         for link in seeds:
-            if link.name not in seen:
-                seen.add(link.name)
-                stack.append(link)
+            if link.fill_n == 0:
+                n = len(link.transfers)
+                if n:
+                    link.fill_n = n
+                    link.fill_cap = link.capacity_mbps
+                    involved.append(link)
+                    stack.append(link)
         closure: Dict[int, Transfer] = {}
         while stack:
             link = stack.pop()
@@ -977,13 +1036,18 @@ class TransferEngine:
                     left = transfer.remaining_mb - rate / MBIT_PER_MB * dt
                     transfer.remaining_mb = left if left > 0.0 else 0.0
                 for other in transfer.links:
-                    if other.name not in seen:
-                        seen.add(other.name)
-                        stack.append(other)
+                    if other.fill_n == 0:
+                        n = len(other.transfers)
+                        other.fill_n = n
+                        other.fill_cap = other.capacity_mbps
+                        involved.append(other)
+                        if n > 1:
+                            stack.append(other)
         if len(closure) == 1:
             # Degenerate (and, off the hot spots, most common) closure:
             # a transfer alone on all its links.  Its max-min rate is
-            # the path bottleneck; skip the filling-loop bookkeeping.
+            # the path bottleneck; skip the filling-loop bookkeeping
+            # and put the walk's fill state back at rest.
             (transfer,) = closure.values()
             rate = transfer.links[0].capacity_mbps
             for link in transfer.links:
@@ -992,6 +1056,7 @@ class TransferEngine:
             transfer.rate_mbps = rate
             self.transfers_visited += 1
             for link in transfer.links:
+                link.fill_n = 0
                 if rate > link.peak_utilisation_mbps:
                     link.peak_utilisation_mbps = rate
             if self.trace is not None:
@@ -1001,12 +1066,14 @@ class TransferEngine:
                     rates={transfer.id: rate},
                 )
         elif closure:
-            self._fill(closure)
+            self._fill(closure, involved)
         # Re-index every closure member's predicted completion (each
         # was settled to ``now`` by the walk above).
         tokens = self._tokens
         token_seq = self._token_seq
         touched = self._touched if self.sharded else None
+        # Profiled runs count pushes per home heap and report them once.
+        pushed: Optional[Dict[str, int]] = {} if prof is not None else None
         for tid, transfer in closure.items():
             rate = transfer.rate_mbps
             if rate > 0:
@@ -1020,11 +1087,16 @@ class TransferEngine:
                 )
                 if touched is not None:
                     touched.add(home.name)
-                if prof is not None:
-                    prof.heap_push(home.name)
+                if pushed is not None:
+                    pushed[home.name] = pushed.get(home.name, 0) + 1
             else:  # pragma: no cover - a filled transfer always has a rate
-                tokens.pop(tid, None)
+                # Like _detach: a dropped token strands a heap entry,
+                # so the home shard must republish its front.
+                if tokens.pop(tid, None) is not None and touched is not None:
+                    touched.add(transfer.shard)
         if prof is not None:
+            for name, n in pushed.items():
+                prof.heap_push(name, n)
             prof.note_recompute(prof.clock() - t0, len(closure))
         if self.self_check:
             self._assert_reference_rates()
@@ -1047,19 +1119,17 @@ class TransferEngine:
         """
         heap = shard.heap
         tokens = self._tokens
-        prof = self.profile
+        pops = invalidated = pushes = 0
         while heap:
             deadline, tid, token = heap[0]
             if tokens.get(tid) != token:
                 heapq.heappop(heap)
-                if prof is not None:
-                    prof.heap_invalidate(shard.name)
+                invalidated += 1
                 continue
             if deadline > now:
                 break
             heapq.heappop(heap)
-            if prof is not None:
-                prof.heap_pop(shard.name)
+            pops += 1
             transfer = self._active[tid]
             self._settle_one(transfer, now)
             if transfer.remaining_mb <= _EPS_MB:
@@ -1074,8 +1144,15 @@ class TransferEngine:
                 token = next(self._token_seq)
                 tokens[tid] = token
                 heapq.heappush(heap, (deadline, tid, token))
-                if prof is not None:
-                    prof.heap_push(shard.name)
+                pushes += 1
+        prof = self.profile
+        if prof is not None:
+            if invalidated:
+                prof.heap_invalidate(shard.name, invalidated)
+            if pops:
+                prof.heap_pop(shard.name, pops)
+            if pushes:
+                prof.heap_push(shard.name, pushes)
 
     def _finish_due(self, finished: List[Transfer]) -> None:
         """Finish the drained transfers (in id order) and re-solve
@@ -1093,11 +1170,13 @@ class TransferEngine:
         """Prune ``shard``'s stale heap tops; return its earliest valid
         deadline (None when the heap is empty)."""
         heap = shard.heap
-        prof = self.profile
-        while heap and self._tokens.get(heap[0][1]) != heap[0][2]:
+        tokens = self._tokens
+        invalidated = 0
+        while heap and tokens.get(heap[0][1]) != heap[0][2]:
             heapq.heappop(heap)
-            if prof is not None:
-                prof.heap_invalidate(shard.name)
+            invalidated += 1
+        if invalidated and self.profile is not None:
+            self.profile.heap_invalidate(shard.name, invalidated)
         return heap[0][0] if heap else None
 
     def _arm_wake(self) -> None:
@@ -1166,7 +1245,7 @@ class TransferEngine:
         so the front-heap minimum equals the minimum over *all* valid
         deadlines, exactly what the incremental mode arms at.
         """
-        prof = self.profile
+        pushes = invalidated = 0
         if self._touched:
             for name in sorted(self._touched):
                 shard = self._shards[name]
@@ -1180,14 +1259,18 @@ class TransferEngine:
                         heapq.heappush(
                             self._front_heap, (front, name, shard.pub)
                         )
-                        if prof is not None:
-                            prof.heap_push("@front")
+                        pushes += 1
             self._touched.clear()
         fronts = self._front_heap
         while fronts and self._shards[fronts[0][1]].pub != fronts[0][2]:
             heapq.heappop(fronts)
-            if prof is not None:
-                prof.heap_invalidate("@front")
+            invalidated += 1
+        prof = self.profile
+        if prof is not None:
+            if pushes:
+                prof.heap_push("@front", pushes)
+            if invalidated:
+                prof.heap_invalidate("@front", invalidated)
         return fronts[0][0] if fronts else None
 
     def _on_wake_sharded(self, generation: int) -> None:
@@ -1195,23 +1278,27 @@ class TransferEngine:
             return  # stale wake-up: the front heap changed since
         now = self.sim.now
         fronts = self._front_heap
-        prof = self.profile
+        pops = invalidated = 0
         finished: List[Transfer] = []
         while fronts:
             front, name, pub = fronts[0]
             shard = self._shards[name]
             if shard.pub != pub:
                 heapq.heappop(fronts)
-                if prof is not None:
-                    prof.heap_invalidate("@front")
+                invalidated += 1
                 continue
             if front > now:
                 break
             heapq.heappop(fronts)
-            if prof is not None:
-                prof.heap_pop("@front")
+            pops += 1
             self._drain(shard, now, finished)
             self._touched.add(name)
+        prof = self.profile
+        if prof is not None:
+            if invalidated:
+                prof.heap_invalidate("@front", invalidated)
+            if pops:
+                prof.heap_pop("@front", pops)
         self._finish_due(finished)
 
     def _assert_reference_rates(self) -> None:

@@ -76,17 +76,20 @@ class MetricsSampler:
                     capacity_by_shard.get(link.shard, 0.0)
                     + link.capacity_mbps
                 )
-                allocated = sum(
-                    transfer.rate_mbps
-                    for transfer in link.transfers.values()
-                )
-                rate_by_shard[link.shard] = (
-                    rate_by_shard.get(link.shard, 0.0) + allocated
-                )
+                # Idle links (most of a swarm's, at any instant) would
+                # add 0; skipping them leaves every sum unchanged.
+                if link.transfers:
+                    allocated = sum(
+                        transfer.rate_mbps
+                        for transfer in link.transfers.values()
+                    )
+                    rate_by_shard[link.shard] = (
+                        rate_by_shard.get(link.shard, 0.0) + allocated
+                    )
             for shard in sorted(capacity_by_shard):
                 self.record(
                     t_s, "link_utilisation", shard,
-                    rate_by_shard[shard] / capacity_by_shard[shard],
+                    rate_by_shard.get(shard, 0.0) / capacity_by_shard[shard],
                 )
         if caches:
             used = sum(cache.used_bytes for cache in caches.values())

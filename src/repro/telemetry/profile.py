@@ -5,6 +5,7 @@
 ``TelemetrySpec.profile`` is on.  The engine notes, per fair-share
 recompute, the wall-clock nanoseconds spent and the dirty-closure size,
 and counts every deadline-heap push / pop / lazy invalidation per shard
+(reported in batches, one report per engine call and heap)
 — the concrete work the incremental and region-sharded solvers exist
 to reduce.  A summary lands on ``ModeOutcome.engine_profile`` (and,
 flattened, in sweep rows), so a perf regression in the solvers becomes
@@ -49,20 +50,17 @@ class EngineProfile:
         self.transfers_rerated = 0
         # int power-of-two buckets; rendered as strings in summary().
         self._closure_hist: Dict[int, int] = {}
-        # shard -> [pushes, pops, invalidations]; flat lists keep the
-        # per-heap-op cost to one dict lookup + one index increment.
+        # shard -> [pushes, pops, invalidations]; flat lists keep each
+        # report to one dict lookup + one index increment.
         self._heaps: Dict[str, List[int]] = {}
 
     # -- recompute timing ----------------------------------------------
-    @staticmethod
-    def clock() -> int:
-        """Host nanoseconds for timing a recompute.
-
-        The engine reads the host clock only through this method, so
-        every wall-clock read stays inside this allowlisted module;
-        ``note_recompute(profile.clock() - t0, n)`` closes the span.
-        """
-        return perf_counter_ns()
+    #: Host nanoseconds for timing a recompute.  The engine reads the
+    #: host clock only through this attribute, so every wall-clock read
+    #: stays inside this allowlisted module;
+    #: ``note_recompute(profile.clock() - t0, n)`` closes the span.  It
+    #: is the builtin itself, so a read adds no Python call frame.
+    clock = staticmethod(perf_counter_ns)
 
     def note_recompute(self, ns: int, closure_size: int) -> None:
         self.recomputes += 1
@@ -76,25 +74,29 @@ class EngineProfile:
         self._closure_hist[bucket] = self._closure_hist.get(bucket, 0) + 1
 
     # -- deadline-heap work --------------------------------------------
-    def heap_push(self, shard: str) -> None:
+    # The engine counts heap operations locally and reports each count
+    # once per call (``n`` operations on ``shard``'s heap), which keeps
+    # the profiled hot loops free of per-operation method calls.
+    def heap_push(self, shard: str, n: int = 1) -> None:
         try:
-            self._heaps[shard][0] += 1
+            self._heaps[shard][0] += n
         except KeyError:
-            self._heaps[shard] = [1, 0, 0]
+            self._heaps[shard] = [n, 0, 0]
 
-    def heap_pop(self, shard: str) -> None:
-        """A *due* entry popped for draining."""
+    def heap_pop(self, shard: str, n: int = 1) -> None:
+        """``n`` *due* entries popped for draining."""
         try:
-            self._heaps[shard][1] += 1
+            self._heaps[shard][1] += n
         except KeyError:
-            self._heaps[shard] = [0, 1, 0]
+            self._heaps[shard] = [0, n, 0]
 
-    def heap_invalidate(self, shard: str) -> None:
-        """A stale (token-mismatched / stamp-mismatched) entry pruned."""
+    def heap_invalidate(self, shard: str, n: int = 1) -> None:
+        """``n`` stale (token-mismatched / stamp-mismatched) entries
+        pruned."""
         try:
-            self._heaps[shard][2] += 1
+            self._heaps[shard][2] += n
         except KeyError:
-            self._heaps[shard] = [0, 0, 1]
+            self._heaps[shard] = [0, 0, n]
 
     # -- export ---------------------------------------------------------
     def summary(self) -> Dict[str, Any]:

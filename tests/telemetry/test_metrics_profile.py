@@ -94,6 +94,24 @@ class TestEngineProfile:
         assert heaps["region-1"]["pops"] == 1
         assert heaps[FRONT_HEAP]["invalidations"] == 1
 
+    def test_heap_counters_take_batches(self):
+        """A batch of ``n`` counts as ``n`` single reports would."""
+        batched, single = EngineProfile(), EngineProfile()
+        batched.heap_push("region-1", 3)
+        batched.heap_pop("region-1", 2)
+        batched.heap_invalidate(FRONT_HEAP, 4)
+        batched.heap_push("region-1")
+        for _ in range(4):
+            single.heap_push("region-1")
+        for _ in range(2):
+            single.heap_pop("region-1")
+        for _ in range(4):
+            single.heap_invalidate(FRONT_HEAP)
+        assert batched.summary() == single.summary()
+        assert batched.summary()["heaps"]["region-1"] == {
+            "pushes": 4, "pops": 2, "invalidations": 0,
+        }
+
 
 class TestTelemetryCapture:
     def test_activation_scope(self):
